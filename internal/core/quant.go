@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"spinal/internal/hashfn"
 	"spinal/internal/hw"
@@ -15,16 +14,19 @@ import (
 // contiguous candidates (one ChildrenPrefixes call per parent, one
 // hashfn.FinishWords + hw.AccumulateCompact pass per stored symbol —
 // scoring and the drop of dominated candidates fused into a single
-// sweep), and keeps the best B via in-place hw.SelectKeys over packed
-// cost<<32|origin keys. Selection runs whenever the survivor pool
-// doubles past 2B and once at the end of the step; each select trims
-// back to B and re-tightens the pruning bound to the exact running
-// B-th-best (the select pivot), replacing the float path's
-// histogram-estimated threshold. The float path in search.go is
-// retained, bit-for-bit untouched, as the reference implementation.
+// sweep), and keeps the best B via hw.SelectKeys over packed
+// cost<<32|origin keys: an in-place quickselect whose partition scan is
+// branch-free (always swap, advance the write slot by the comparison
+// bit). Selection runs whenever the survivor pool doubles past 2B and
+// once at the end of the step; each select trims back to B and
+// re-tightens the pruning bound to the exact running B-th-best (the
+// select pivot), replacing the float path's histogram-estimated
+// threshold. The float path in search.go is retained, bit-for-bit
+// untouched, as the reference implementation.
 //
 // Beam order is an invariant: each step emits its survivors sorted by
-// packed key (cost, then origin), so the next step expands parents in
+// packed key (cost, then origin; hw.SortKeys, on the same branch-free
+// partition), so the next step expands parents in
 // ascending cost order and stops at the first parent the running
 // threshold dominates. Selection over unique packed keys makes the
 // survivor set — and therefore the decode — fully deterministic,
@@ -260,7 +262,7 @@ func (d *Decoder) decodeQuantized(dst []byte) ([]byte, float64, bool) {
 		// Sorting the packed keys both fixes the survivor order
 		// deterministically and establishes the next step's
 		// ascending-cost parent invariant.
-		slices.Sort(keys)
+		hw.SortKeys(keys)
 		for j, key := range keys {
 			og := uint32(key)
 			arena = append(arena, backRec{

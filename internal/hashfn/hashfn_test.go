@@ -221,3 +221,35 @@ func BenchmarkSalsa20(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkFinishWords finishes one stored symbol's RNG word for a full
+// 256-candidate decode block — the hash half of the quantized kernel's
+// per-symbol scoring pass.
+func BenchmarkFinishWords(b *testing.B) {
+	const n = 256
+	o := OneAtATime{}
+	pre := make([]uint32, n)
+	for j := range pre {
+		pre[j] = o.Prefix(uint32(j) * 2654435761)
+	}
+	out := make([]uint32, n)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		FinishWords(pre, uint32(i), out)
+	}
+	b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
+}
+
+// BenchmarkChildrenPrefixes expands one parent into its 2^4 children
+// and their RNG prefixes, the per-parent step of block expansion at k=4.
+func BenchmarkChildrenPrefixes(b *testing.B) {
+	const kb = 4
+	o := OneAtATime{}
+	cs := make([]uint32, 1<<kb)
+	pre := make([]uint32, 1<<kb)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		o.ChildrenPrefixes(uint32(i)*2654435761, kb, cs, pre)
+	}
+	b.ReportMetric(float64(len(cs))*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
+}

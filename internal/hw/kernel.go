@@ -1,6 +1,9 @@
 package hw
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file is the software realization of the Appendix B datapath: the
 // quantized branch-cost arithmetic the hardware decoder runs in narrow
@@ -176,61 +179,144 @@ func CompactBelow(tau int32, cost []int32, pre, org []uint32) int {
 // deterministic regardless of block boundaries or encounter order; the
 // cost-tied candidates that survive are those with the smallest origins
 // (§4.3 permits any tie-breaking). Requires 1 ≤ k ≤ len(keys). This is
-// the software form of the Appendix B selection unit: an in-place
-// partial select instead of the float path's histogram-threshold pass.
+// the software form of the Appendix B selection unit: a quickselect
+// whose partition scan has no data-dependent branch, instead of the
+// float path's histogram-threshold pass.
+//
+// The partition scan is the one partitionKeys runs for SortKeys. It
+// and the insertion finish are written out here rather than called, so
+// that CPU profiles charge nearly all of the selection unit's time to
+// SelectKeys itself.
 func SelectKeys(keys []uint64, k int) uint64 {
-	lo, hi := 0, len(keys)-1
-	for hi-lo > 12 {
-		// Median-of-three pivot (also sentinels: keys[lo] ≤ pivot ≤
-		// keys[hi] bounds the inner scans) to avoid quadratic behaviour
-		// on sorted input; Hoare partition swaps only mismatched pairs,
-		// about a quarter of the elements per pass. Duplicate keys are
-		// impossible from the decoder and merely slow, never wrong, here.
-		mid := lo + (hi-lo)/2
-		if keys[mid] < keys[lo] {
-			keys[mid], keys[lo] = keys[lo], keys[mid]
+	k-- // index of the k-th smallest
+	for len(keys) > insertionMax {
+		pivot := medianToFront(keys)
+		rest := keys[1:]
+		n := 0
+		for i, v := range rest {
+			rest[i] = rest[n]
+			rest[n] = v
+			_, lt := bits.Sub64(v, pivot, 0)
+			n += int(lt)
 		}
-		if keys[hi] < keys[lo] {
-			keys[hi], keys[lo] = keys[lo], keys[hi]
+		eq := n
+		if n > 0 {
+			keys[0], keys[n] = keys[n], pivot
+		} else {
+			n = sweepPivot(rest, pivot)
 		}
-		if keys[hi] < keys[mid] {
-			keys[hi], keys[mid] = keys[mid], keys[hi]
-		}
-		pivot := keys[mid]
-		i, j := lo, hi
-		for i <= j {
-			for keys[i] < pivot {
-				i++
-			}
-			for keys[j] > pivot {
-				j--
-			}
-			if i <= j {
-				keys[i], keys[j] = keys[j], keys[i]
-				i++
-				j--
-			}
-		}
-		// keys[lo..j] ≤ pivot ≤ keys[i..hi], and anything between sits
-		// exactly at the pivot value.
+		// keys[:eq] < pivot = keys[eq:n+1] ≤ keys[n+1:]
 		switch {
-		case k-1 <= j:
-			hi = j
-		case k-1 >= i:
-			lo = i
+		case k < eq:
+			keys = keys[:eq]
+		case k > n:
+			keys, k = keys[n+1:], k-n-1
 		default:
 			return pivot
 		}
 	}
-	// Small ranges: insertion sort settles the exact order.
-	for a := lo + 1; a <= hi; a++ {
+	for a := 1; a < len(keys); a++ {
 		v := keys[a]
 		b := a - 1
-		for b >= lo && keys[b] > v {
+		for b >= 0 && keys[b] > v {
 			keys[b+1] = keys[b]
 			b--
 		}
 		keys[b+1] = v
 	}
-	return keys[k-1]
+	return keys[k]
+}
+
+// SortKeys sorts keys ascending: a quicksort over the same branch-free
+// partition as SelectKeys, for the survivor sort that fixes each step's
+// beam order. On decode-like pools it takes about 0.75× the time of
+// slices.Sort at 32 keys and 0.55× at 256 (BenchmarkSortKeys).
+func SortKeys(keys []uint64) {
+	for len(keys) > insertionMax {
+		eq, p := partitionKeys(keys)
+		// Recurse into the smaller side and loop on the larger, so the
+		// stack depth stays logarithmic.
+		if eq < len(keys)-p {
+			SortKeys(keys[:eq])
+			keys = keys[p+1:]
+		} else {
+			SortKeys(keys[p+1:])
+			keys = keys[:eq]
+		}
+	}
+	for a := 1; a < len(keys); a++ {
+		v := keys[a]
+		b := a - 1
+		for b >= 0 && keys[b] > v {
+			keys[b+1] = keys[b]
+			b--
+		}
+		keys[b+1] = v
+	}
+}
+
+// insertionMax is the range length at or below which SelectKeys and
+// SortKeys finish with an insertion sort.
+const insertionMax = 16
+
+// medianToFront orders keys[0], keys[mid] and keys[last] and swaps
+// their median to keys[0], returning it. A median-of-three pivot keeps
+// sorted and reverse-sorted input linear per pass. Requires len ≥ 3.
+func medianToFront(keys []uint64) uint64 {
+	last := len(keys) - 1
+	mid := last / 2
+	if keys[mid] < keys[0] {
+		keys[mid], keys[0] = keys[0], keys[mid]
+	}
+	if keys[last] < keys[0] {
+		keys[last], keys[0] = keys[0], keys[last]
+	}
+	if keys[last] < keys[mid] {
+		keys[last], keys[mid] = keys[mid], keys[last]
+	}
+	keys[0], keys[mid] = keys[mid], keys[0]
+	return keys[0]
+}
+
+// partitionKeys partitions keys (len ≥ 3) around medianToFront's pivot
+// and returns the index range [eq, p] holding it: keys[:eq] <
+// keys[eq:p+1] = pivot ≤ keys[p+1:]; with unique keys eq == p.
+//
+// The scan always swaps the current key into the write slot and
+// advances the slot by the comparison's borrow bit. A candidate pool is
+// in near-random order, so a compare-and-branch scan mispredicts about
+// every other key; this one has no branch to mispredict.
+func partitionKeys(keys []uint64) (eq, p int) {
+	pivot := medianToFront(keys)
+	rest := keys[1:]
+	n := 0
+	for i, v := range rest {
+		rest[i] = rest[n]
+		rest[n] = v
+		_, lt := bits.Sub64(v, pivot, 0)
+		n += int(lt)
+	}
+	if n == 0 {
+		return 0, sweepPivot(rest, pivot)
+	}
+	keys[0], keys[n] = keys[n], pivot
+	return n, n
+}
+
+// sweepPivot finishes a partition that found no key below its pivot:
+// the pivot, held just before rest, is the range minimum, which only
+// duplicate keys make likely. It moves every copy of the pivot in rest
+// to the front and returns how many there are, so a run of equal keys
+// is settled in one pass instead of shrinking the range by one key per
+// pass.
+func sweepPivot(rest []uint64, pivot uint64) int {
+	n := 0
+	for i, v := range rest {
+		if v == pivot {
+			rest[i] = rest[n]
+			rest[n] = v
+			n++
+		}
+	}
+	return n
 }

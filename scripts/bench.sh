@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Runs the core microbenchmarks and writes a machine-readable snapshot
+# Runs the microbenchmarks, from the kernel primitives up to the link
+# engine and the fetch pipeline, and writes a machine-readable snapshot
 # (BENCH_<date>.json) so successive changes can be compared against a
 # recorded baseline. Usage: scripts/bench.sh [benchtime]
 set -eu
@@ -19,6 +20,14 @@ go test -run '^$' -bench 'BenchmarkLinkEngine$' \
     -benchtime "$benchtime" -benchmem ./internal/link/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkFetchPipeline$' \
     -benchtime "$benchtime" -benchmem ./internal/transport/ >>"$tmp"
+# The kernel-primitive rungs of the ladder: the fixed-point kernel's
+# selection, sort, scoring and table set-up, and the hash halves that
+# feed them.
+go test -run '^$' \
+    -bench 'BenchmarkSelectKeys$|BenchmarkSortKeys$|BenchmarkAccumulateCompact$|BenchmarkBuildDistTables$' \
+    -benchtime "$benchtime" -benchmem ./internal/hw/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$' \
+    -benchtime "$benchtime" -benchmem ./internal/hashfn/ >>"$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN { n = 0 }

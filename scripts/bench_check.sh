@@ -1,7 +1,14 @@
 #!/usr/bin/env sh
-# Bench-regression gate for CI: re-runs the guarded benchmarks
-# (BenchmarkDecode, BenchmarkLinkEngine) and compares them against the
-# newest checked-in BENCH_*.json snapshot (scripts/bench.sh writes it).
+# Bench-regression gate for CI: re-runs the guarded benchmarks and
+# compares them against the newest checked-in BENCH_*.json snapshot
+# (scripts/bench.sh writes it). Guarded, one rung of the ladder each:
+#   - kernel primitives: BenchmarkSelectKeys, BenchmarkSortKeys (the hw
+#     sub-benchmarks, not the slices.Sort reference),
+#     BenchmarkAccumulateCompact, BenchmarkBuildDistTables,
+#     BenchmarkFinishWords, BenchmarkChildrenPrefixes;
+#   - decode: BenchmarkDecode, BenchmarkDecodeQuantized,
+#     BenchmarkDecodeQuantized256;
+#   - link: BenchmarkLinkEngine.
 #
 # Thresholds and their rationale:
 #   - A benchmark fails when it exceeds its baseline by more than 20%.
@@ -32,9 +39,15 @@ tmp="$(mktemp)"
 best="$(mktemp)"
 trap 'rm -f "$tmp" "$best"' EXIT
 
-go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$' \
+go test -run '^$' -bench 'BenchmarkDecode$|BenchmarkDecodeQuantized$|BenchmarkDecodeQuantized256$' \
     -benchtime "$benchtime" -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench 'BenchmarkLinkEngine$' -benchtime "$benchtime" -benchmem -count 3 ./internal/link/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkSelectKeys$|BenchmarkAccumulateCompact$|BenchmarkBuildDistTables$' \
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/hw/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkSortKeys$/./hw$' \
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/hw/ >>"$tmp"
+go test -run '^$' -bench 'BenchmarkFinishWords$|BenchmarkChildrenPrefixes$' \
+    -benchtime "$benchtime" -benchmem -count 3 ./internal/hashfn/ >>"$tmp"
 
 base_cpu="$(sed -n 's/.*"cpu": "\([^"]*\)".*/\1/p' "$baseline" | head -1)"
 now_cpu="$(awk '/^cpu:/ { print substr($0, 6); exit }' "$tmp" | sed 's/^ *//')"
@@ -58,8 +71,9 @@ END { for (n in minNs) printf "%s %s %s\n", n, minNs[n], (n in minAl ? minAl[n] 
 
 status=0
 while read -r name ns allocs; do
-    base_ns="$(sed -n 's/.*"name": "'"$name"'".*"ns_per_op": \([0-9.eE+]*\).*/\1/p' "$baseline" | head -1)"
-    base_allocs="$(sed -n 's/.*"name": "'"$name"'".*"allocs_per_op": \([0-9]*\).*/\1/p' "$baseline" | head -1)"
+    # '|' delimits the sed expressions: sub-benchmark names contain '/'.
+    base_ns="$(sed -n 's|.*"name": "'"$name"'".*"ns_per_op": \([0-9.eE+]*\).*|\1|p' "$baseline" | head -1)"
+    base_allocs="$(sed -n 's|.*"name": "'"$name"'".*"allocs_per_op": \([0-9]*\).*|\1|p' "$baseline" | head -1)"
     if [ -z "$base_ns" ]; then
         echo "bench_check: $name missing from $baseline — run scripts/bench.sh to refresh the baseline" >&2
         status=1
@@ -68,7 +82,7 @@ while read -r name ns allocs; do
     if ! awk -v n="$name" -v now_ns="$ns" -v base_ns="$base_ns" \
              -v now_al="$allocs" -v base_al="${base_allocs:--1}" -v gate="$gate" 'BEGIN {
         ns_ratio = now_ns / base_ns
-        printf "bench_check: %-22s ns/op %.0f -> %.0f (%.2fx)", n, base_ns, now_ns, ns_ratio
+        printf "bench_check: %-40s ns/op %.0f -> %.0f (%.2fx)", n, base_ns, now_ns, ns_ratio
         if (base_al >= 0 && now_al >= 0)
             printf "  allocs/op %d -> %d", base_al, now_al
         printf "  [gate: %s]\n", gate
@@ -82,21 +96,25 @@ while read -r name ns allocs; do
     fi
 done <"$best"
 
-# Line-rate gate for the quantized kernel's operating point (256-bit
-# message, one puncturing pass, B=32). Only the allocation half is
-# absolute: zero steady-state allocs/op is deterministic on every
-# machine. Latency is gated relatively — best-of-3 ns/op against the
-# newest BENCH_*.json through the same 20% threshold as the loop above,
-# CPU-matched runs only. (This replaces the old absolute "<1 ms" line,
-# which measured the CI runner rather than the code and flaked on slow
-# shared machines; on foreign CPUs the ratio below is informational.)
-if ! awk -v gate="$gate" '$1 == "BenchmarkDecodeQuantized" {
-    found = 1
-    printf "bench_check: %-22s ns/op %.0f  allocs/op %d  [gate: 0 allocs absolute; ns relative (%s)]\n", $1, $2, $3, gate
-    if ($3 + 0 != 0) exit 1
+# Absolute allocation gate. Zero steady-state allocs/op is deterministic
+# on every machine, so the quantized kernel's operating point (256-bit
+# message, one puncturing pass, B=32) and the two primitives it runs per
+# candidate block, SelectKeys and AccumulateCompact, must each report 0
+# allocs/op, and each must be present. Latency is gated relatively —
+# best-of-3 ns/op against the newest BENCH_*.json through the same 20%
+# threshold as the loop above, CPU-matched runs only. (This replaces an
+# old absolute "<1 ms" line, which measured the CI runner rather than
+# the code and flaked on slow shared machines.)
+if ! awk '$1 == "BenchmarkDecodeQuantized" || $1 ~ /^Benchmark(SelectKeys|AccumulateCompact)\// {
+    split($1, part, "/")
+    found[part[1]] = 1
+    printf "bench_check: %-40s allocs/op %d  [gate: 0 allocs absolute]\n", $1, $3
+    if ($3 + 0 != 0) bad = 1
 }
-END { if (!found) exit 1 }' "$best"; then
-    echo "bench_check: BenchmarkDecodeQuantized missing or allocating on the hot path" >&2
+END {
+    exit bad || !found["BenchmarkDecodeQuantized"] || !found["BenchmarkSelectKeys"] || !found["BenchmarkAccumulateCompact"]
+}' "$best"; then
+    echo "bench_check: BenchmarkDecodeQuantized, BenchmarkSelectKeys or BenchmarkAccumulateCompact missing or allocating" >&2
     status=1
 fi
 exit $status
